@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify test race vet bench bench-sched bench-shard bench-fleet bench-fault bench-analysis bench-all bench-check bench-compare bench-compare-shard bench-smoke serve-smoke
+.PHONY: all build verify test race vet bench bench-sched bench-shard bench-fleet bench-fault bench-analysis bench-all bench-check bench-compare bench-compare-shard bench-smoke serve-smoke fuzz-smoke
 
 all: build
 
@@ -11,8 +11,9 @@ build:
 # bench-smoke compiles and runs every benchmark once so a broken
 # benchmark (or a perf-path regression that panics) fails the gate
 # without paying for real measurement runs. serve-smoke exercises the
-# service mode end to end in-process.
-verify: vet build test race bench-smoke serve-smoke
+# service mode end to end in-process. fuzz-smoke fuzzes the spec parser
+# for a few seconds.
+verify: vet build test race bench-smoke serve-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +36,13 @@ bench-smoke:
 serve-smoke:
 	$(GO) run ./cmd/experiments -serve-smoke
 
+# fuzz-smoke runs the native fuzz target of the spec parser — the one
+# parser of untrusted input the service exposes — for five seconds:
+# no input may panic it, and every accepted spec must survive the
+# marshal/parse and Scenario/Spec round trips unchanged.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/testbed
+
 # bench times the sequential vs. pooled repetition schedule of Figure 1
 # (5 reps) and records the comparison, including the core count, in
 # BENCH_parallel.json.
@@ -50,14 +58,13 @@ bench-sched:
 	$(GO) run ./cmd/experiments -bench-sched BENCH_sched.json -dur 30s -reps 3
 
 # bench-shard times the 4-cell scale-out scenario on one loop vs one
-# shard per cell plus the wired core — under the global lockstep, the
-# adaptive per-shard-horizon, the dynamic EOT-promise, and the
-# optimistic speculative-window (checkpoint/rollback) window
-# policies — verifies every partitioning produces byte-identical
-# results, counts engine windows on the idle-fleet leg (24k idle +
-# 1000 population per cell, no active flows) under adaptive vs
-# dynamic, and records the comparison (including the core count —
-# speedup needs real cores) in BENCH_shard.json.
+# shard per cell plus the wired core — under the global lockstep
+# reference and the dynamic EOT-promise window policy — verifies every
+# partitioning produces byte-identical results, counts engine windows
+# on the idle-fleet leg (24k idle + 1000 population per cell, no
+# active flows) under global vs dynamic, and records the comparison
+# (including the core count — speedup needs real cores) in
+# BENCH_shard.json.
 bench-shard:
 	$(GO) run ./cmd/experiments -bench-shard BENCH_shard.json -cells 4 -terminals 2 -dur 30s
 
@@ -72,15 +79,13 @@ bench-shard:
 bench-fleet:
 	$(GO) run ./cmd/experiments -bench-fleet BENCH_fleet.json -cells 4 -terminals 2 -fleet 24000 -population 1000 -dur 30s
 
-# bench-compare-shard validates the committed shard artifact: all
-# policies recorded byte-identical results, the adaptive wall time is
-# within 1.05x of the global one (dynamic likewise on multi-core
-# machines) — per-shard horizons only remove synchronization, so a
-# real slowdown is a regression — dynamic granted no more windows
-# than adaptive, optimistic took no more conservative barriers than
-# dynamic (and stays within 1.05x of its wall time on multi-core
-# machines), and the idle-fleet leg shows the >= 5x dynamic window
-# reduction. Run it before committing changes to the shard engine.
+# bench-compare-shard validates the committed shard artifact: both
+# policies recorded byte-identical results, the dynamic wall time is
+# within 1.05x of the global one on multi-core machines — per-shard
+# horizons only remove synchronization, so a real slowdown is a
+# regression — dynamic granted no more windows than global, and the
+# idle-fleet leg shows the >= 5x dynamic window reduction. Run it
+# before committing changes to the shard engine.
 bench-compare-shard:
 	$(GO) run ./cmd/experiments -bench-shard-compare BENCH_shard.json
 

@@ -55,12 +55,34 @@ func runSpec(path string) error {
 	return err
 }
 
+// Connection timeouts of the -serve listener. A client gets
+// readHeaderTimeout to send its request headers and a keep-alive
+// connection is closed after idleTimeout without a request, so slow or
+// abandoned clients cannot hold connections open forever. There is
+// deliberately no write timeout: a job's SSE stream stays open for as
+// long as the job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the control-plane handler in the -serve
+// listener's http.Server.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe hosts the control plane on addr until SIGINT/SIGTERM, then
 // drains: the HTTP listener closes first (no new submissions), queued
 // jobs run to completion, and only then does the process exit.
 func runServe(addr string, workers int) error {
 	ctl := control.NewServer(control.Config{Workers: workers})
-	srv := &http.Server{Addr: addr, Handler: ctl.Handler()}
+	srv := newHTTPServer(addr, ctl.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	sigc := make(chan os.Signal, 1)

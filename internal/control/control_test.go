@@ -105,7 +105,7 @@ func TestJobByteIdenticalToDirectRun(t *testing.T) {
 	cases := []string{
 		`{"seed":11,"duration":"` + testDur + `"}`,
 		`{"seed":11,"scheduler":"heap","duration":"` + testDur + `"}`,
-		`{"seed":5,"cells":3,"terminals":1,"shards":2,"shard_policy":"adaptive","duration":"` + testDur + `"}`,
+		`{"seed":5,"cells":3,"terminals":1,"shards":2,"shard_policy":"global","duration":"` + testDur + `"}`,
 	}
 	for _, specJSON := range cases {
 		id := submit(t, ts, specJSON)
@@ -456,14 +456,14 @@ func TestMetricsScrape(t *testing.T) {
 }
 
 // TestMetricsScrapeShardCounters: a multi-cell sharded job's merged
-// snapshot must surface the coordinator's window/rollback instruments
+// snapshot must surface the coordinator's window instruments
 // through /v1/metrics, not just the sim/netsim counters. The -metrics
 // CLI dump always carried the raw per-shard snapshots; this pins the
 // serve-mode path to the same merged view.
 func TestMetricsScrapeShardCounters(t *testing.T) {
 	_, ts := newTestService(t, Config{})
 	id := submit(t, ts, `{"seed":4,"cells":2,"terminals":1,"shards":3,`+
-		`"shard_policy":"optimistic","flow_start":"8s","duration":"`+testDur+`"}`)
+		`"flow_start":"8s","duration":"`+testDur+`"}`)
 	if st := waitState(t, ts, id); st.State != StateDone {
 		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
 	}
@@ -493,16 +493,15 @@ func TestMetricsScrapeShardCounters(t *testing.T) {
 	if got := snap.Counters["shard/windows_released"]; got == 0 {
 		t.Error("merged snapshot missing shard/windows_released")
 	}
-	// The speculation instruments must be present even when their
-	// values are zero; their absence would mean the coordinator's
-	// registry entries were dropped on the merge path.
-	for _, name := range []string{"shard/speculated_windows", "shard/rollbacks"} {
-		if _, ok := snap.Counters[name]; !ok {
-			t.Errorf("merged snapshot missing counter %s", name)
-		}
+	// The default dynamic policy has no global barrier, so the stall
+	// counter is zero — but it must still be present; its absence would
+	// mean the coordinator's registry entries were dropped on the merge
+	// path.
+	if _, ok := snap.Counters["shard/stall_wall_ns"]; !ok {
+		t.Error("merged snapshot missing counter shard/stall_wall_ns")
 	}
-	if _, ok := snap.Histograms["shard/rollback_depth"]; !ok {
-		t.Error("merged snapshot missing histogram shard/rollback_depth")
+	if h, ok := snap.Histograms["shard/horizon_stride_ns"]; !ok || h.Count == 0 {
+		t.Error("merged snapshot missing histogram shard/horizon_stride_ns")
 	}
 }
 
@@ -515,6 +514,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"sheduler":"heap"}`:       "sheduler",
 		`{"shard_policy":"bogus"}`:  "spec.shard_policy",
 		`{"cells":2,"path":"umts"}`: "spec.path",
+		`{"cells":2,"terminals":1,"shard_policy":"optimistic"}`:     "spec.shard_policy",
+		`{"cells":1,"terminals":1,"window":"1ns","duration":"10s"}`: "spec.window",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -528,5 +529,10 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		if !strings.Contains(string(got), wantFrag) {
 			t.Errorf("submit(%s) error %s does not mention %q", body, got, wantFrag)
 		}
+	}
+	// A rejected spec costs nothing: the next valid job still runs.
+	id := submit(t, ts, `{"seed":1,"duration":"`+testDur+`"}`)
+	if st := waitState(t, ts, id); st.State != StateDone {
+		t.Fatalf("job after rejected specs ended %s (%s), want done", st.State, st.Error)
 	}
 }

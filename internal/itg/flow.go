@@ -135,17 +135,12 @@ type Sender struct {
 
 // NewSender creates a sender for spec; name salts the RNG stream.
 func NewSender(loop *sim.Loop, name string, spec FlowSpec, send SendFunc) *Sender {
-	// Sequence counters, logs, and the live decoder feed have no
-	// snapshot hooks; the loop cannot be speculatively rolled back.
-	// (Receivers DO cooperate — see Receiver.snapshot — so a pure
-	// receive-side loop stays speculation-eligible.)
-	loop.MarkOpaque("itg.Sender")
 	reg := loop.Metrics()
 	s := &Sender{
-		loop:    loop,
-		rng:     loop.RNG("itg/" + name),
-		spec:    spec,
-		send:    send,
+		loop:      loop,
+		rng:       loop.RNG("itg/" + name),
+		spec:      spec,
+		send:      send,
 		mSent:     reg.Counter("itg/packets_sent"),
 		mEchoed:   reg.Counter("itg/echoes_received"),
 		mErrors:   reg.Counter("itg/send_errors"),
@@ -293,25 +288,12 @@ type Receiver struct {
 // reflections back to the sender.
 func NewReceiver(loop *sim.Loop, reply SendFunc) *Receiver {
 	reg := loop.Metrics()
-	r := &Receiver{
+	return &Receiver{
 		loop: loop, reply: reply,
 		mRecv:     reg.Counter("itg/packets_received"),
 		mEchoed:   reg.Counter("itg/packets_echoed"),
 		mStreamed: reg.Counter("itg/records_streamed"),
 		mDropped:  reg.Counter("itg/log_records_dropped"),
-	}
-	loop.OnSnapshot(r.snapshot)
-	return r
-}
-
-// snapshot captures the receiver's log cursor for speculative rollback
-// (sim.Loop OnSnapshot contract). The log only appends and records are
-// immutable once logged, so restoring is a truncation.
-func (r *Receiver) snapshot() func() {
-	n, mal := len(r.RecvLog.Records), r.Malformed
-	return func() {
-		r.RecvLog.Records = r.RecvLog.Records[:n]
-		r.Malformed = mal
 	}
 }
 
@@ -331,16 +313,7 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 		TxTime: txTime, RxTime: r.loop.Now(),
 	}
 	if r.Stream != nil {
-		if r.loop.Speculating() {
-			// The decoder may be shared with the flow's sender on another
-			// shard loop; a rollback here could not un-feed it, so the
-			// arrival is quarantined until the window commits. Replay
-			// recreates an identical record, and commits release segments
-			// in order, so the decoder still sees RxTime-monotone input.
-			r.loop.Quarantine(func() { r.Stream.AddRecv(rec) })
-		} else {
-			r.Stream.AddRecv(rec)
-		}
+		r.Stream.AddRecv(rec)
 		r.mStreamed.Inc()
 	}
 	if r.DropLogs {

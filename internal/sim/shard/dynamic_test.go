@@ -8,9 +8,11 @@ import (
 	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
-// TestDynamicMatchesGlobal pins the EOT-promise policy to the same
-// byte-identity contract as adaptive: for every scheduler backend and
-// placement, traces must match the lockstep global engine exactly. The
+// TestDynamicMatchesGlobal pins the policy half of the determinism
+// contract: for every scheduler backend and placement, the dynamic
+// engine must produce traces byte-identical to the lockstep global
+// engine (which the placement tests already tie to the single-shard
+// reference). The
 // pingPong ring is the adversarial case for promises — it cycles, so a
 // one-hop promise without fixpoint propagation would let a shard outrun
 // the echo traffic coming back around the ring.
@@ -24,6 +26,7 @@ func TestDynamicMatchesGlobal(t *testing.T) {
 	}
 	for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
 		global := shard.NewEngine(7, 4, sched)
+		global.SetPolicy(shard.PolicyGlobal)
 		ref := pingPong(t, 7, nParts, global, []int{0, 1, 2, 3}, until)
 		for name, mapping := range mappings {
 			n := 1
@@ -46,8 +49,8 @@ func TestDynamicMatchesGlobal(t *testing.T) {
 }
 
 // sparseEngine builds the idle-heavy case the dynamic policy exists
-// for: two shards joined by short edges both ways (so the adaptive
-// distance bound is small), where shard 0 only acts at a sparse period
+// for: two shards joined by short edges both ways (so the distance
+// bound is small), where shard 0 only acts at a sparse period
 // and shard 1 has nothing at all. Every send keeps the cycle honest —
 // shard 1 echoes each message back, so promises must propagate through
 // the cycle rather than assume quiet forever.
@@ -73,22 +76,52 @@ func sparseEngine(p shard.Policy, period, until time.Duration) *shard.Engine {
 	return eng
 }
 
+// totalWindows sums the completed windows over every shard of eng.
+func totalWindows(eng *shard.Engine) int64 {
+	var n int64
+	for _, s := range eng.Shards() {
+		n += s.Loop().Metrics().Snapshot().Counter("shard/windows")
+	}
+	return n
+}
+
+// TestDynamicRunsAhead verifies the per-shard half of the dynamic
+// policy: a shard whose only incoming path is long must not be
+// throttled to the global minimum edge delay. With a 1ms edge 0->1 and
+// a 20ms edge 0->2, the global policy holds every shard to 1ms windows
+// (200 of them over 200ms) while dynamic lets shard 2 advance in at
+// least 20ms strides.
+func TestDynamicRunsAhead(t *testing.T) {
+	until := 200 * time.Millisecond
+	windows := func(p shard.Policy) int64 {
+		eng := shard.NewEngine(1, 3, sim.SchedulerWheel)
+		eng.SetPolicy(p)
+		eng.NewEdge(eng.Shard(0), eng.Shard(1), time.Millisecond, func(shard.Message) {})
+		ed := eng.NewEdge(eng.Shard(0), eng.Shard(2), 20*time.Millisecond, func(shard.Message) {})
+		eng.Shard(0).Loop().Post(func() { ed.Send(20*time.Millisecond, "x") })
+		eng.Run(until)
+		return eng.Shard(2).Loop().Metrics().Snapshot().Counter("shard/windows")
+	}
+	g, dyn := windows(shard.PolicyGlobal), windows(shard.PolicyDynamic)
+	if g < 100 {
+		t.Fatalf("global policy ran %d windows on the long-edge shard, expected lockstep ~200", g)
+	}
+	if dyn > 10 {
+		t.Fatalf("dynamic policy ran %d windows on the long-edge shard, want <= 10 (>= 20ms strides)", dyn)
+	}
+}
+
 // TestDynamicStridesPastIdle is the point of the policy: with activity
-// every 50ms over 1ms edges, adaptive grinds ~1-2ms windows while
+// every 50ms over 1ms edges, global lockstep grinds 1ms windows while
 // dynamic strides from event to event. The reduction here (>=10x) is
 // the small-scale version of the idle-fleet bench gate.
 func TestDynamicStridesPastIdle(t *testing.T) {
 	windows := func(p shard.Policy) int64 {
-		eng := sparseEngine(p, 50*time.Millisecond, 500*time.Millisecond)
-		var n int64
-		for i := 0; i < eng.N(); i++ {
-			n += eng.Shard(i).Loop().Metrics().Snapshot().Counter("shard/windows")
-		}
-		return n
+		return totalWindows(sparseEngine(p, 50*time.Millisecond, 500*time.Millisecond))
 	}
-	a, dyn := windows(shard.PolicyAdaptive), windows(shard.PolicyDynamic)
-	if a < 10*dyn {
-		t.Fatalf("dynamic ran %d windows vs adaptive %d, want >= 10x fewer", dyn, a)
+	g, dyn := windows(shard.PolicyGlobal), windows(shard.PolicyDynamic)
+	if g < 10*dyn {
+		t.Fatalf("dynamic ran %d windows vs global %d, want >= 10x fewer", dyn, g)
 	}
 }
 
@@ -98,7 +131,7 @@ func TestDynamicStridesPastIdle(t *testing.T) {
 func TestDynamicIdleFastForward(t *testing.T) {
 	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
 	eng.SetPolicy(shard.PolicyDynamic)
-	// An edge exists (so the adaptive bound alone would stride in 1ms
+	// An edge exists (so the distance bound alone would stride in 1ms
 	// hops), but its source never schedules anything.
 	eng.NewEdge(eng.Shard(0), eng.Shard(1), time.Millisecond, func(shard.Message) {})
 	eng.Run(time.Second)
@@ -159,35 +192,25 @@ func TestWindowInstrumentation(t *testing.T) {
 			if h.Count != windows {
 				t.Errorf("policy %v shard %d: stride samples %d != windows %d", p, i, h.Count, windows)
 			}
-			if p == shard.PolicyOptimistic {
-				// Speculative grants re-cover rolled-back intervals, so
-				// strides COVER the span rather than partitioning it.
-				if h.Sum < int64(until) {
-					t.Errorf("policy %v shard %d: stride sum %d < span %d", p, i, h.Sum, int64(until))
-				}
-			} else if h.Sum != int64(until) {
+			if h.Sum != int64(until) {
 				t.Errorf("policy %v shard %d: stride sum %d != span %d", p, i, h.Sum, int64(until))
 			}
 		}
 	}
 }
 
-// TestDynamicNeverTrailsAdaptive: the promise horizon is
-// max(adaptive bound, EOT), so the dynamic policy can never grant MORE
-// windows than adaptive on the same scenario — the invariant the
-// bench-compare gate enforces at scale.
-func TestDynamicNeverTrailsAdaptive(t *testing.T) {
+// TestDynamicNeverTrailsGlobal: the dynamic horizon is
+// max(distance bound, EOT), and the distance bound is never shorter
+// than a lockstep lookahead window, so the dynamic policy can never
+// grant MORE windows than global on the same scenario — the invariant
+// the bench-compare gate enforces at scale.
+func TestDynamicNeverTrailsGlobal(t *testing.T) {
 	for _, period := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 80 * time.Millisecond} {
 		windows := func(p shard.Policy) int64 {
-			eng := sparseEngine(p, period, 400*time.Millisecond)
-			var n int64
-			for i := 0; i < eng.N(); i++ {
-				n += eng.Shard(i).Loop().Metrics().Snapshot().Counter("shard/windows")
-			}
-			return n
+			return totalWindows(sparseEngine(p, period, 400*time.Millisecond))
 		}
-		if a, dyn := windows(shard.PolicyAdaptive), windows(shard.PolicyDynamic); dyn > a {
-			t.Errorf("period %v: dynamic %d windows > adaptive %d", period, dyn, a)
+		if g, dyn := windows(shard.PolicyGlobal), windows(shard.PolicyDynamic); dyn > g {
+			t.Errorf("period %v: dynamic %d windows > global %d", period, dyn, g)
 		}
 	}
 }

@@ -177,10 +177,10 @@ type ExperimentResult struct {
 // decode the logs over the sample window.
 func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error) {
 	if spec.Duration == 0 {
-		spec.Duration = 120 * time.Second
+		spec.Duration = defaultDuration
 	}
 	if spec.Window == 0 {
-		spec.Window = 200 * time.Millisecond
+		spec.Window = defaultWindow
 	}
 	res := &ExperimentResult{Spec: spec}
 
@@ -244,7 +244,7 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 	}
 	snd.Start()
 	// Run the flow plus drain time for queued packets and echoes.
-	tb.Loop.RunUntil(start + spec.Duration + 10*time.Second)
+	tb.Loop.RunUntil(start + spec.Duration + drainTime)
 	if tb.Loop.Interrupted() {
 		return nil, ErrInterrupted
 	}

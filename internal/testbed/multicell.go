@@ -70,12 +70,12 @@ type MultiCellOptions struct {
 	Operator func(cell int) umts.Config
 	// Scheduler selects the sim kernel backend on every shard.
 	Scheduler sim.Scheduler
-	// ShardPolicy selects the engine window policy: shard.PolicyGlobal
-	// (lockstep lookahead windows, the default), shard.PolicyAdaptive
-	// (per-shard distance-based horizons) or shard.PolicyDynamic
-	// (adaptive plus demand-driven earliest-output-time promises —
-	// idle-heavy cells stride from event to event instead of edge delay
-	// to edge delay). The policy must not change results — the engine's
+	// ShardPolicy selects the engine window policy: shard.PolicyDynamic
+	// (the default: per-shard distance bounds extended by demand-driven
+	// earliest-output-time promises — idle-heavy cells stride from
+	// event to event instead of edge delay to edge delay) or
+	// shard.PolicyGlobal (lockstep lookahead windows, the reference).
+	// The policy must not change results — the engine's
 	// determinism contract covers it, enforced by the same differential
 	// tests as the shard count.
 	ShardPolicy shard.Policy
@@ -152,13 +152,13 @@ func (o *MultiCellOptions) setDefaults() {
 		o.FlowStart = 15 * time.Second
 	}
 	if o.Duration <= 0 {
-		o.Duration = 30 * time.Second
+		o.Duration = defaultMultiCellDuration
 	}
 	if o.Drain <= 0 {
-		o.Drain = 10 * time.Second
+		o.Drain = drainTime
 	}
 	if o.Window <= 0 {
-		o.Window = 200 * time.Millisecond
+		o.Window = defaultWindow
 	}
 	if o.BackhaulDelay <= 0 {
 		o.BackhaulDelay = 7500 * time.Microsecond

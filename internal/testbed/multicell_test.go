@@ -49,7 +49,7 @@ func TestMultiCellFlowsDeliver(t *testing.T) {
 
 // diffMultiCell runs the same options with shard count 1 (the
 // reference) and then shard count n under every window policy (global
-// lockstep, adaptive distance horizons, dynamic EOT promises), and
+// lockstep, dynamic EOT promises), and
 // asserts byte-identical QoS reports, bearer logs, and placement-
 // independent kernel counters across all runs — the determinism
 // contract covers placement AND window policy.

@@ -188,11 +188,9 @@ func WithCells(cells, terminals int) ScenarioOption {
 // change results).
 func WithShards(n int) ScenarioOption { return func(sc *Scenario) { sc.shards = n } }
 
-// WithShardPolicy selects the shard engine's window policy — global
-// lockstep windows (default), adaptive per-shard horizons, dynamic
-// EOT-promise horizons, or optimistic speculative windows with
-// checkpoint/rollback recovery. Like the shard count, the policy must
-// not change results.
+// WithShardPolicy selects the shard engine's window policy — dynamic
+// EOT-promise horizons (default) or the global lockstep reference.
+// Like the shard count, the policy must not change results.
 func WithShardPolicy(p shard.Policy) ScenarioOption {
 	return func(sc *Scenario) { sc.shardPolicy = p }
 }

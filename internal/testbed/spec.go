@@ -75,9 +75,9 @@ type Spec struct {
 	// Shards overrides the shard count (default cells+1); requires
 	// Cells. Must not change results.
 	Shards int `json:"shards,omitempty"`
-	// ShardPolicy selects the engine's window policy: "global"
-	// (default), "adaptive", "dynamic", or "optimistic". Requires
-	// Cells. Must not change results.
+	// ShardPolicy selects the engine's window policy: "dynamic"
+	// (default) or "global" (the lockstep reference). Requires Cells.
+	// Must not change results.
 	ShardPolicy string `json:"shard_policy,omitempty"`
 	// FlowStart delays the multi-cell senders (default 15s); requires
 	// Cells.
@@ -234,6 +234,53 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return spec, nil
 }
 
+// MaxSampleWindows bounds the QoS sample windows one flow's analysis
+// allocates. The decoders hold every window in memory at once, so an
+// unbounded count (a 1ns window over a 10s flow asks for ~10^10) would
+// exhaust memory before the run produced anything; 2^18 still allows
+// 1ms windows over a four-minute flow.
+const MaxSampleWindows = 1 << 18
+
+// Runner defaults for unset fields, shared with Validate's bound on
+// the sample-window count.
+const (
+	defaultDuration          = 120 * time.Second // single cell, as in the paper
+	defaultMultiCellDuration = 30 * time.Second
+	defaultWindow            = 200 * time.Millisecond
+	// drainTime is how long both runners keep simulating after the
+	// flow stops, so queued packets and echoes still land in the
+	// analysis.
+	drainTime = 10 * time.Second
+)
+
+// durationOrDefault is the flow duration the runner will use.
+func (s *Spec) durationOrDefault() time.Duration {
+	switch {
+	case s.Duration > 0:
+		return time.Duration(s.Duration)
+	case s.Cells > 0:
+		return defaultMultiCellDuration
+	default:
+		return defaultDuration
+	}
+}
+
+// windowOrDefault is the QoS sample window the runner will use.
+func (s *Spec) windowOrDefault() time.Duration {
+	if s.Window > 0 {
+		return time.Duration(s.Window)
+	}
+	return defaultWindow
+}
+
+// sampleWindows is the number of QoS sample windows one flow's
+// analysis spans: the flow plus the drain, window by window. Dividing
+// each term separately keeps huge durations from overflowing.
+func (s *Spec) sampleWindows() int64 {
+	w := s.windowOrDefault()
+	return int64(s.durationOrDefault()/w) + int64(drainTime/w) + 1
+}
+
 // Validate checks every field against its allowed values and the
 // cross-field constraints the runners enforce, reporting the first
 // problem with its field path (e.g. "spec.shard_policy: ...").
@@ -316,6 +363,10 @@ func (s *Spec) Validate() error {
 	}
 	if s.PopulationSpec != nil && s.Population <= 0 {
 		return fmt.Errorf("spec.population_spec: requires spec.population")
+	}
+	if n := s.sampleWindows(); n > MaxSampleWindows {
+		return fmt.Errorf("spec.window: %v windows over a %v flow are %d QoS samples (max %d)",
+			s.windowOrDefault(), s.durationOrDefault(), n, MaxSampleWindows)
 	}
 	return nil
 }
@@ -455,7 +506,7 @@ func (sc *Scenario) Spec() (*Spec, error) {
 		}
 	}
 	if sc.cells > 0 {
-		if sc.shardPolicy != shard.PolicyGlobal {
+		if sc.shardPolicy != shard.PolicyDynamic {
 			s.ShardPolicy = sc.shardPolicy.String()
 		}
 		s.PopulationSpec = populationSpecJSON(sc.populationSpec)

@@ -26,12 +26,12 @@ func TestSpecGoldenJSON(t *testing.T) {
 		FaultProfile: "flaky", SelfHeal: true,
 		HealPolicy: &HealPolicySpec{InitialBackoff: Duration(time.Second), MaxAttempts: 3},
 		Analysis:   &AnalysisSpec{Mode: "stream", Exact: true},
-		Cells:      4, Terminals: 2, Shards: 3, ShardPolicy: "adaptive",
+		Cells:      4, Terminals: 2, Shards: 3, ShardPolicy: "global",
 		FlowStart: Duration(15 * time.Second), IdleTerminals: 100, Population: 1000,
 		PopulationSpec: &PopulationSpecJSON{RateBps: 64000, Tick: Duration(100 * time.Millisecond)},
 		FlowGaugeLimit: 64,
 	}
-	const golden = `{"seed":42,"scheduler":"heap","workload":"cbr1m","duration":"1m30s","window":"200ms","fault_profile":"flaky","self_heal":true,"heal_policy":{"initial_backoff":"1s","max_attempts":3},"analysis":{"mode":"stream","exact":true},"cells":4,"terminals":2,"shards":3,"shard_policy":"adaptive","flow_start":"15s","idle_terminals":100,"population":1000,"population_spec":{"rate_bps":64000,"tick":"100ms"},"flow_gauge_limit":64}`
+	const golden = `{"seed":42,"scheduler":"heap","workload":"cbr1m","duration":"1m30s","window":"200ms","fault_profile":"flaky","self_heal":true,"heal_policy":{"initial_backoff":"1s","max_attempts":3},"analysis":{"mode":"stream","exact":true},"cells":4,"terminals":2,"shards":3,"shard_policy":"global","flow_start":"15s","idle_terminals":100,"population":1000,"population_spec":{"rate_bps":64000,"tick":"100ms"},"flow_gauge_limit":64}`
 	got, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +87,8 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		{Spec{Workload: "quake"}, "spec.workload"},
 		{Spec{FaultProfile: "chaos"}, "spec.fault_profile"},
 		{Spec{Cells: 2, ShardPolicy: "static"}, "spec.shard_policy"},
+		{Spec{Cells: 2, ShardPolicy: "adaptive"}, "spec.shard_policy"},
+		{Spec{Cells: 2, ShardPolicy: "optimistic"}, "spec.shard_policy"},
 		{Spec{Analysis: &AnalysisSpec{Mode: "online"}}, "spec.analysis.mode"},
 		{Spec{Analysis: &AnalysisSpec{SketchRelErr: -1}}, "spec.analysis.sketch_rel_err"},
 		{Spec{Duration: Duration(-time.Second)}, "spec.duration"},
@@ -104,6 +106,9 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		{Spec{PopulationSpec: &PopulationSpecJSON{}}, "spec.population_spec"},
 		{Spec{FlowGaugeLimit: 9}, "spec.flow_gauge_limit"},
 		{Spec{Cells: 2, PopulationSpec: &PopulationSpecJSON{}}, "spec.population_spec"},
+		{Spec{Cells: 1, Terminals: 1, Window: 1, Duration: Duration(10 * time.Second)}, "spec.window"},
+		{Spec{Window: Duration(time.Microsecond)}, "spec.window"},
+		{Spec{Duration: Duration(1 << 62)}, "spec.window"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -114,6 +119,20 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		if !strings.HasPrefix(err.Error(), c.path+":") {
 			t.Errorf("Validate(%+v) = %q, want %s: prefix", c.spec, err, c.path)
 		}
+	}
+	// Retired policy names fail with the allowed set spelled out.
+	for _, name := range []string{"adaptive", "optimistic"} {
+		err := (&Spec{Cells: 2, ShardPolicy: name}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "(allowed: global, dynamic)") {
+			t.Errorf("shard_policy %q: error %v must name the allowed set", name, err)
+		}
+	}
+	// The sample-window bound admits its own limit: 1ms windows over the
+	// longest flow that stays within MaxSampleWindows.
+	ok := Spec{Window: Duration(time.Millisecond),
+		Duration: Duration(time.Duration(MaxSampleWindows-1)*time.Millisecond - drainTime)}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("spec at the sample-window limit rejected: %v", err)
 	}
 }
 
@@ -242,7 +261,7 @@ func TestSpecDifferentialSingleCell(t *testing.T) {
 // TestSpecShardPolicyRoundTrip: every engine policy name survives the
 // wire format — JSON decode, Validate, Scenario conversion, and the
 // Spec() export — so a saved measurement spec replays under the policy
-// it recorded. Iterating shard.Policies() makes the test self-widening:
+// it recorded. A spec without shard_policy selects the dynamic default. Iterating shard.Policies() makes the test self-widening:
 // a new policy that misses any leg of the path fails here.
 func TestSpecShardPolicyRoundTrip(t *testing.T) {
 	for _, p := range shard.Policies() {
@@ -266,12 +285,19 @@ func TestSpecShardPolicyRoundTrip(t *testing.T) {
 			t.Fatalf("policy %v: spec export: %v", p, err)
 		}
 		want := p.String()
-		if p == shard.PolicyGlobal {
+		if p == shard.PolicyDynamic {
 			want = "" // the default is omitted from the wire format
 		}
 		if back.ShardPolicy != want {
 			t.Errorf("policy %v: round-tripped as %q, want %q", p, back.ShardPolicy, want)
 		}
+	}
+	sc, err := (&Spec{Cells: 2}).Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.shardPolicy != shard.PolicyDynamic {
+		t.Errorf("omitted shard_policy selects %v, want dynamic", sc.shardPolicy)
 	}
 }
 
@@ -279,7 +305,7 @@ func TestSpecShardPolicyRoundTrip(t *testing.T) {
 // with a non-default placement.
 func TestSpecDifferentialMultiCell(t *testing.T) {
 	spec := &Spec{Seed: 5, Cells: 3, Terminals: 1, Shards: 2,
-		ShardPolicy: "adaptive", Duration: Duration(12 * time.Second)}
+		ShardPolicy: "global", Duration: Duration(12 * time.Second)}
 	sc, err := spec.Scenario()
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +316,7 @@ func TestSpecDifferentialMultiCell(t *testing.T) {
 	}
 	direct, err := NewScenario(
 		WithSeed(5), WithCells(3, 1), WithShards(2),
-		WithShardPolicy(shard.PolicyAdaptive), WithDuration(12*time.Second),
+		WithShardPolicy(shard.PolicyGlobal), WithDuration(12*time.Second),
 	).Run()
 	if err != nil {
 		t.Fatal(err)
