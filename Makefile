@@ -12,7 +12,7 @@ build:
 # benchmark (or a perf-path regression that panics) fails the gate
 # without paying for real measurement runs. serve-smoke exercises the
 # service mode end to end in-process. fuzz-smoke fuzzes the spec parser
-# for a few seconds.
+# and the HDLC deframer for a few seconds each.
 verify: vet build test race bench-smoke serve-smoke fuzz-smoke
 
 vet:
@@ -36,12 +36,16 @@ bench-smoke:
 serve-smoke:
 	$(GO) run ./cmd/experiments -serve-smoke
 
-# fuzz-smoke runs the native fuzz target of the spec parser — the one
-# parser of untrusted input the service exposes — for five seconds:
+# fuzz-smoke runs two native fuzz targets for five seconds each. The
+# spec parser is the one parser of untrusted input the service exposes:
 # no input may panic it, and every accepted spec must survive the
-# marshal/parse and Scenario/Spec round trips unchanged.
+# marshal/parse and Scenario/Spec round trips unchanged. The HDLC
+# deframer reads raw line bytes: under any chunking it must match the
+# byte-at-a-time reference framer and never deliver a frame over
+# maxFrame, and every payload must round-trip through both encoders.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/testbed
+	$(GO) test -run '^$$' -fuzz '^FuzzDeframe$$' -fuzztime 5s ./internal/ppp
 
 # bench times the sequential vs. pooled repetition schedule of Figure 1
 # (5 reps) and records the comparison, including the core count, in

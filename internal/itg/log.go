@@ -47,9 +47,7 @@ func EncodePayloadInto(b []byte, kind byte, flowID, seq uint32, txTime time.Dura
 	binary.BigEndian.PutUint32(b[1:], flowID)
 	binary.BigEndian.PutUint32(b[5:], seq)
 	binary.BigEndian.PutUint64(b[9:], uint64(txTime))
-	for i := MinPayload; i < len(b); i++ {
-		b[i] = 0
-	}
+	clear(b[MinPayload:])
 	return b
 }
 
@@ -150,20 +148,21 @@ func DecodeLog(r io.Reader) (*Log, error) {
 	return l, nil
 }
 
-// Rebase returns a copy of the log with start subtracted from every
-// timestamp, so window 0 aligns with the flow start rather than the
+// Rebase subtracts start from every timestamp in place and returns the
+// receiver, so window 0 aligns with the flow start rather than the
 // simulation origin (experiments dial for several seconds before the
-// first packet departs).
+// first packet departs). Zero RxTimes (sender logs) stay zero. The
+// original timestamps are gone afterwards: callers that still need them
+// must rebase a copy.
 func (l *Log) Rebase(start time.Duration) *Log {
-	out := &Log{Records: make([]Record, len(l.Records))}
-	for i, r := range l.Records {
+	for i := range l.Records {
+		r := &l.Records[i]
 		r.TxTime -= start
 		if r.RxTime != 0 {
 			r.RxTime -= start
 		}
-		out.Records[i] = r
 	}
-	return out
+	return l
 }
 
 // FilterFlow returns the sub-log containing only records of the given

@@ -235,7 +235,10 @@ func TestStreamWithStartMirrorsRebase(t *testing.T) {
 		return out
 	}
 	sSent, sRecv, sEcho := shift(sent), shift(recv), shift(echo)
-	batch := Decode(sSent.Rebase(start), sRecv.Rebase(start), sEcho.Rebase(start), 200*time.Millisecond)
+	// Rebase shifts in place, so the batch side rebases copies and the
+	// stream side still reads the shifted originals.
+	clone := func(l *Log) *Log { return &Log{Records: append([]Record(nil), l.Records...)} }
+	batch := Decode(clone(sSent).Rebase(start), clone(sRecv).Rebase(start), clone(sEcho).Rebase(start), 200*time.Millisecond)
 	stream := DecodeStream(sSent, sRecv, sEcho, 200*time.Millisecond, WithStart(start), WithExactPercentiles())
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("WithStart(...) differs from Rebase + decode\nbatch:  %+v\nstream: %+v", batch, stream)

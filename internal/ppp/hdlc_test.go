@@ -2,7 +2,10 @@ package ppp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -378,3 +381,351 @@ func BenchmarkEncodeFrame(b *testing.B) {
 		}
 	})
 }
+
+// --- Byte-at-a-time reference framer ---
+//
+// refFCS16, refAppendFrameProto and refDeframer are the original
+// one-octet-at-a-time RFC 1662 implementation. The shipping framer works
+// on runs (slicing-by-8 FCS, bulk-copied escape runs); the differential
+// tests and FuzzDeframe below hold it to this oracle byte for byte.
+
+func refFCS16(fcs uint16, data []byte) uint16 {
+	for _, b := range data {
+		fcs = (fcs >> 8) ^ fcsTable[0][byte(fcs)^b]
+	}
+	return fcs
+}
+
+func refAppendFrameProto(dst []byte, proto uint16, info []byte, escapeCtl bool) []byte {
+	dst = append(dst, hdlcFlag)
+	fcs := uint16(fcsInit)
+	for _, b := range [4]byte{hdlcAddress, hdlcControl, byte(proto >> 8), byte(proto)} {
+		fcs = (fcs >> 8) ^ fcsTable[0][byte(fcs)^b]
+		dst = refAppendEscaped(dst, b, escapeCtl)
+	}
+	for _, b := range info {
+		fcs = (fcs >> 8) ^ fcsTable[0][byte(fcs)^b]
+		dst = refAppendEscaped(dst, b, escapeCtl)
+	}
+	// The FCS octets are escaped like data but do not update the FCS.
+	fin := ^fcs
+	dst = refAppendEscaped(dst, byte(fin&0xff), escapeCtl)
+	dst = refAppendEscaped(dst, byte(fin>>8), escapeCtl)
+	return append(dst, hdlcFlag)
+}
+
+func refAppendEscaped(dst []byte, b byte, escapeCtl bool) []byte {
+	if b == hdlcFlag || b == hdlcEscape || (escapeCtl && b < 0x20) {
+		return append(dst, hdlcEscape, b^hdlcXOR)
+	}
+	return append(dst, b)
+}
+
+type refDeframer struct {
+	OnFrame func(pppPayload []byte)
+
+	buf     []byte
+	escaped bool
+	inFrame bool
+
+	Frames    uint64
+	FCSErrors uint64
+	Runts     uint64
+}
+
+func (d *refDeframer) Feed(data []byte) error {
+	for _, b := range data {
+		switch {
+		case b == hdlcFlag:
+			if d.inFrame && len(d.buf) > 0 {
+				d.finish()
+			}
+			d.inFrame = true
+			d.escaped = false
+			d.buf = d.buf[:0]
+		case !d.inFrame:
+		case b == hdlcEscape:
+			d.escaped = true
+		default:
+			if d.escaped {
+				b ^= hdlcXOR
+				d.escaped = false
+			}
+			d.buf = append(d.buf, b)
+			if len(d.buf) > maxFrame {
+				d.buf = d.buf[:0]
+				d.inFrame = false
+				return ErrOversizedFrame
+			}
+		}
+	}
+	return nil
+}
+
+func (d *refDeframer) finish() {
+	defer func() { d.buf = d.buf[:0] }()
+	if len(d.buf) < 6 {
+		d.Runts++
+		return
+	}
+	if refFCS16(fcsInit, d.buf) != fcsGood {
+		d.FCSErrors++
+		return
+	}
+	payload := d.buf[:len(d.buf)-2]
+	if payload[0] != hdlcAddress || payload[1] != hdlcControl {
+		d.Runts++
+		return
+	}
+	d.Frames++
+	d.OnFrame(append([]byte(nil), payload[2:]...))
+}
+
+// deframeTrace is everything observable about a deframing run: the
+// delivered frames, Feed's error per chunk, and the final counters.
+type deframeTrace struct {
+	Frames                 [][]byte
+	Errs                   []error
+	Good, FCSErrors, Runts uint64
+	OnFCSErrorCalls        uint64
+}
+
+// traceDeframe feeds chunks to the shipping Deframer. With borrow set the
+// callback copies each frame, exercising the Borrow contract.
+func traceDeframe(chunks [][]byte, borrow bool) deframeTrace {
+	var tr deframeTrace
+	d := Deframer{Borrow: borrow, OnFCSError: func() { tr.OnFCSErrorCalls++ }}
+	d.OnFrame = func(p []byte) {
+		if borrow {
+			p = append([]byte(nil), p...)
+		}
+		tr.Frames = append(tr.Frames, p)
+	}
+	for _, c := range chunks {
+		tr.Errs = append(tr.Errs, d.Feed(c))
+	}
+	tr.Good, tr.FCSErrors, tr.Runts = d.Frames, d.FCSErrors, d.Runts
+	return tr
+}
+
+func traceRefDeframe(chunks [][]byte) deframeTrace {
+	var tr deframeTrace
+	d := refDeframer{OnFrame: func(p []byte) { tr.Frames = append(tr.Frames, p) }}
+	for _, c := range chunks {
+		tr.Errs = append(tr.Errs, d.Feed(c))
+	}
+	tr.Good, tr.FCSErrors, tr.Runts = d.Frames, d.FCSErrors, d.Runts
+	tr.OnFCSErrorCalls = d.FCSErrors
+	return tr
+}
+
+// randPayload draws n octets in which roughly one in density is a flag,
+// escape or control octet; the rest are uniform.
+func randPayload(rng *rand.Rand, n, density int) []byte {
+	special := []byte{hdlcFlag, hdlcEscape, 0x00, 0x03, 0x11, 0x13, 0x1f, hdlcXOR ^ hdlcFlag}
+	p := make([]byte, n)
+	for i := range p {
+		if rng.Intn(density) == 0 {
+			p[i] = special[rng.Intn(len(special))]
+		} else {
+			p[i] = byte(rng.Intn(256))
+		}
+	}
+	return p
+}
+
+// randStream builds a line stream of encoded frames in both ACCM modes
+// mixed with inter-frame noise, runts, corrupted FCS, shared flags,
+// dangling escapes and oversized frames.
+func randStream(rng *rand.Rand) []byte {
+	var s []byte
+	for n := rng.Intn(12); n >= 0; n-- {
+		info := randPayload(rng, rng.Intn(1600), 1+rng.Intn(64))
+		frame := appendFrameProto(nil, uint16(rng.Intn(1<<16)), info, rng.Intn(2) == 0)
+		switch rng.Intn(10) {
+		case 0: // inter-frame noise, possibly containing escapes
+			s = append(s, randPayload(rng, rng.Intn(40), 4)...)
+		case 1: // corrupted octet: FCS error or a framing anomaly
+			frame[1+rng.Intn(len(frame)-2)] ^= byte(1 + rng.Intn(255))
+		case 2: // runt
+			s = append(s, hdlcFlag, hdlcAddress, hdlcControl, byte(rng.Intn(256)), hdlcFlag)
+		case 3: // shared flag with the previous frame
+			frame = frame[1:]
+		case 4: // a flag cancels a pending escape; 7d 7d keeps it set
+			s = append(s, hdlcFlag, 0x55, hdlcEscape, hdlcEscape, hdlcFlag, hdlcEscape)
+		case 5: // oversized frame mid-stream
+			junk := randPayload(rng, maxFrame-16+rng.Intn(1024), 1+rng.Intn(8))
+			s = append(append(s, hdlcFlag), bytes.ReplaceAll(junk, []byte{hdlcFlag}, []byte{0x5e})...)
+		case 6: // unterminated frame swallowed by the next
+			frame = frame[:len(frame)-1]
+		case 7: // a doubled escape (7d 7d x) still decodes as 7d x
+			if j := bytes.IndexByte(frame, hdlcEscape); j >= 0 {
+				frame = append(frame[:j:j], append([]byte{hdlcEscape}, frame[j:]...)...)
+			}
+		}
+		s = append(s, frame...)
+	}
+	return s
+}
+
+// splitChunks cuts stream into chunks: one octet each (mode 0), sizes
+// drawn from seed (mode 1), or right after every escape octet (mode 2).
+func splitChunks(stream []byte, mode int, seed uint64) [][]byte {
+	var chunks [][]byte
+	x := seed | 1
+	for len(stream) > 0 {
+		n := len(stream)
+		switch mode {
+		case 0:
+			n = 1
+		case 1:
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			n = 1 + int(x%200)
+		case 2:
+			if i := bytes.IndexByte(stream, hdlcEscape); i >= 0 {
+				n = i + 1
+			}
+		}
+		n = min(n, len(stream))
+		chunks = append(chunks, stream[:n])
+		stream = stream[n:]
+	}
+	return chunks
+}
+
+func TestFCS16MatchesByteWise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	buf := randPayload(rng, 80, 4)
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= 64; n++ {
+			for _, init := range []uint16{fcsInit, 0, 0x1234} {
+				if got, want := fcs16(init, buf[off:off+n]), refFCS16(init, buf[off:off+n]); got != want {
+					t.Fatalf("fcs16(%#04x, buf[%d:%d]) = %#04x, byte-wise %#04x", init, off, off+n, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestEncoderMatchesByteWise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	prefix := []byte("prefix")
+	for i := 0; i < 2000; i++ {
+		info := randPayload(rng, rng.Intn(1600), []int{1, 2, 8, 128, 1 << 20}[i%5])
+		proto := uint16(rng.Intn(1 << 16))
+		for _, escapeCtl := range []bool{true, false} {
+			want := refAppendFrameProto(append([]byte(nil), prefix...), proto, info, escapeCtl)
+			got := appendFrameProto(append([]byte(nil), prefix...), proto, info, escapeCtl)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("case %d escapeCtl=%v: wire differs\n got %x\nwant %x", i, escapeCtl, got, want)
+			}
+		}
+	}
+}
+
+func TestDeframerMatchesByteWise(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 400; i++ {
+		stream := randStream(rng)
+		for mode := 0; mode < 3; mode++ {
+			chunks := splitChunks(stream, mode, rng.Uint64())
+			want := traceRefDeframe(chunks)
+			for _, borrow := range []bool{false, true} {
+				if got := traceDeframe(chunks, borrow); !reflect.DeepEqual(got, want) {
+					t.Fatalf("case %d split %d borrow=%v: deframer differs from byte-wise\n got %+v\nwant %+v",
+						i, mode, borrow, summarize(got), summarize(want))
+				}
+			}
+		}
+	}
+}
+
+// summarize keeps failure messages readable: frame lengths, not bytes.
+func summarize(tr deframeTrace) string {
+	lens := make([]int, len(tr.Frames))
+	for i, f := range tr.Frames {
+		lens[i] = len(f)
+	}
+	return fmt.Sprintf("frames=%v errs=%v good=%d fcs=%d runts=%d", lens, tr.Errs, tr.Good, tr.FCSErrors, tr.Runts)
+}
+
+func TestDeframerOversizedMidChunk(t *testing.T) {
+	// The error fires at the (maxFrame+1)th buffered octet and discards
+	// the rest of the chunk, valid frame included; the next chunk decodes.
+	good := EncodeFrameACCM0(EncapsulatePPP(ProtoIPv4, []byte{1, 2, 3, 4}))
+	stream := append([]byte{hdlcFlag}, bytes.Repeat([]byte{0xaa}, maxFrame+1)...)
+	stream = append(stream, good...)
+	chunks := [][]byte{stream, good}
+	got, want := traceDeframe(chunks, true), traceRefDeframe(chunks)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %s, want %s", summarize(got), summarize(want))
+	}
+	if !errors.Is(got.Errs[0], ErrOversizedFrame) || got.Errs[1] != nil || got.Good != 1 {
+		t.Fatalf("got %s, want one oversize error then one frame", summarize(got))
+	}
+
+	// One huge noise-free chunk is never buffered whole.
+	var d Deframer
+	if err := d.Feed(append([]byte{hdlcFlag}, make([]byte, 1<<16)...)); !errors.Is(err, ErrOversizedFrame) {
+		t.Fatalf("err = %v, want ErrOversizedFrame", err)
+	}
+	if cap(d.buf) >= 2*maxFrame {
+		t.Fatalf("deframer buffered %d bytes of an oversized frame", cap(d.buf))
+	}
+}
+
+// FuzzDeframe holds the run-based deframer to its byte-wise reference on
+// arbitrary line bytes under arbitrary chunking, and checks that every
+// payload round-trips through both encoders.
+func FuzzDeframe(f *testing.F) {
+	for _, p := range [][]byte{
+		EncapsulatePPP(ProtoLCP, []byte{1, 2, 0, 8, 0xde, 0xad, 0xbe, 0xef}),
+		{0x00, 0x21, hdlcFlag, hdlcEscape, 0x00, 0x1f, 0x20, 0x7f},
+		EncapsulatePPP(ProtoIPv4, bytes.Repeat([]byte{0x7e, 0x7d, 0x03, 0xaa}, 50)),
+		EncapsulatePPP(ProtoCHAP, bytes.Repeat([]byte{0x00}, 300)),
+	} {
+		f.Add(p, uint16(0))
+		f.Add(EncodeFrame(p), uint16(1))
+		f.Add(EncodeFrameACCM0(p), uint16(7))
+	}
+	f.Add(append([]byte("\r\nCONNECT 3600000\r\n"), EncodeFrame(EncapsulatePPP(ProtoLCP, []byte{1, 1, 0, 4}))...), uint16(3))
+	f.Add([]byte{hdlcFlag, 0xff, 0x03, 0x01, hdlcFlag}, uint16(2))
+	f.Add([]byte{hdlcFlag, 0x55, hdlcEscape, hdlcEscape, hdlcFlag, hdlcEscape, 0x5e}, uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
+		chunks := splitChunks(data, int(split%3), uint64(split))
+		got, want := traceDeframe(chunks, split&4 != 0), traceRefDeframe(chunks)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("deframer differs from byte-wise: got %s, want %s", summarize(got), summarize(want))
+		}
+		for _, fr := range got.Frames {
+			if len(fr) > maxFrame {
+				t.Fatalf("delivered a %d-octet frame, over maxFrame %d", len(fr), maxFrame)
+			}
+		}
+		// Address, control and FCS ride on top of the payload.
+		if len(data) < 2 || len(data)+4 > maxFrame {
+			return
+		}
+		for _, wire := range [][]byte{EncodeFrame(data), EncodeFrameACCM0(data)} {
+			tr := traceDeframe(splitChunks(wire, int(split%3), uint64(split)), true)
+			if len(tr.Frames) != 1 || !bytes.Equal(tr.Frames[0], data) {
+				t.Fatalf("round trip of %x: got %s", data, summarize(tr))
+			}
+		}
+	})
+}
+
+func BenchmarkFCS16(b *testing.B) {
+	data := make([]byte, 1056)
+	rand.New(rand.NewSource(1)).Read(data)
+	b.SetBytes(int64(len(data)))
+	var sink uint16
+	for i := 0; i < b.N; i++ {
+		sink = fcs16(sink, data)
+	}
+	fcsSink = sink
+}
+
+var fcsSink uint16
