@@ -11,8 +11,8 @@ build:
 # bench-smoke compiles and runs every benchmark once so a broken
 # benchmark (or a perf-path regression that panics) fails the gate
 # without paying for real measurement runs. serve-smoke exercises the
-# service mode end to end in-process. fuzz-smoke fuzzes the spec parser
-# and the HDLC deframer for a few seconds each.
+# service mode end to end in-process. fuzz-smoke fuzzes the spec parser,
+# the HDLC deframer and the IPv4 parser for a few seconds each.
 verify: vet build test race bench-smoke serve-smoke fuzz-smoke
 
 vet:
@@ -36,16 +36,20 @@ bench-smoke:
 serve-smoke:
 	$(GO) run ./cmd/experiments -serve-smoke
 
-# fuzz-smoke runs two native fuzz targets for five seconds each. The
+# fuzz-smoke runs three native fuzz targets for five seconds each. The
 # spec parser is the one parser of untrusted input the service exposes:
 # no input may panic it, and every accepted spec must survive the
 # marshal/parse and Scenario/Spec round trips unchanged. The HDLC
 # deframer reads raw line bytes: under any chunking it must match the
 # byte-at-a-time reference framer and never deliver a frame over
 # maxFrame, and every payload must round-trip through both encoders.
+# The IPv4 parser reads what the deframer delivers: no input may panic
+# it, every accepted packet must re-marshal and decode back equal, and
+# decoding into a dirty recycled packet must equal a fresh decode.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/testbed
 	$(GO) test -run '^$$' -fuzz '^FuzzDeframe$$' -fuzztime 5s ./internal/ppp
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 5s ./internal/netsim
 
 # bench times the sequential vs. pooled repetition schedule of Figure 1
 # (5 reps) and records the comparison, including the core count, in

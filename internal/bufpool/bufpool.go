@@ -109,6 +109,10 @@ var debugDoublePut = false
 // SetDebugDoublePut toggles the double-Put detector.
 func SetDebugDoublePut(on bool) { debugDoublePut = on }
 
+// DebugDoublePut reports whether the double-Put detector is on. Other
+// recyclers of the packet path (netsim's packet pool) follow it.
+func DebugDoublePut() bool { return debugDoublePut }
+
 // disabled makes every Get a fresh allocation and every Put a no-op.
 // Simulation results must be bit-identical either way (recycling is an
 // optimization, never semantics), which makes the switch doubly useful:
@@ -120,3 +124,8 @@ var disabled = false
 // running on other goroutines; intended for process-wide benchmark or
 // debug configuration.
 func SetDisabled(on bool) { disabled = on }
+
+// Disabled reports whether pooling is off. Other recyclers of the packet
+// path (netsim's packet pool) follow it, so the switch turns every
+// recycler off at once.
+func Disabled() bool { return disabled }

@@ -281,13 +281,13 @@ func (d *Dialer) startPPP(done func(*Connection, error)) {
 			conn.iface.SetLink(netsim.FuncLink(func(_ *netsim.Iface, pkt *netsim.Packet) {
 				// The link owns pkt: marshal into a recycled wire buffer
 				// (SendIPv4 frames and copies it synchronously) and recycle
-				// the payload too.
+				// the payload and the packet too.
 				pool := d.cfg.Loop.Buffers()
 				wire := pkt.AppendMarshal(pool.Get(pkt.Length())[:0])
 				conn.client.SendIPv4(wire)
 				pool.Put(wire)
 				pool.Put(pkt.Payload)
-				pkt.Payload = nil
+				netsim.ReleasePacket(pkt)
 			}))
 			completed = true
 			d.busy = false

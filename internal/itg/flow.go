@@ -89,6 +89,32 @@ func CBR1Mbps(flowID uint32, dst netip.Addr, srcPort, dstPort uint16, duration t
 	}
 }
 
+// ExpectedPackets returns how many packets the flow sends when it runs
+// to completion, or 0 when that is not known in advance. It is exact for
+// a Constant IDT (the VoIP and CBR presets): departures at 0, d, 2d, ...
+// strictly before Duration, with d the IDT in whole nanoseconds as the
+// sender schedules it.
+func (f FlowSpec) ExpectedPackets() int {
+	c, ok := f.IDT.(Constant)
+	if !ok || f.Duration <= 0 {
+		return 0
+	}
+	d := time.Duration(idtSeconds(c.V) * float64(time.Second))
+	if d <= 0 {
+		return 0
+	}
+	return int((f.Duration + d - 1) / d)
+}
+
+// idtSeconds clamps a degenerate IDT sample to 1 µs, avoiding a
+// zero-delay storm.
+func idtSeconds(v float64) float64 {
+	if v <= 0 {
+		return 1e-6
+	}
+	return v
+}
+
 // SendFunc injects a packet into some network stack: a node's Send, a
 // slice's Send (VNET+ attribution), or a test capture.
 type SendFunc func(*netsim.Packet) error
@@ -162,6 +188,13 @@ func (s *Sender) Start() {
 	}
 	s.started = true
 	s.deadline = s.loop.Now() + s.spec.Duration
+	if !s.DropLogs {
+		n := s.spec.ExpectedPackets()
+		s.SentLog.Reserve(n)
+		if s.spec.Meter == MeterRTT {
+			s.EchoLog.Reserve(n)
+		}
+	}
 	s.emit()
 }
 
@@ -188,18 +221,17 @@ func (s *Sender) emit() {
 	if s.spec.Meter == MeterRTT {
 		kind |= flagEchoRequest
 	}
-	// Draw the payload from the loop's pool; the stack recycles it at
-	// the point of consumption (marshal onto a byte path, drop, or the
-	// receiver's Handle).
-	pkt := &netsim.Packet{
-		Src:     s.spec.SrcAddr,
-		Dst:     s.spec.DstAddr,
-		Proto:   netsim.ProtoUDP,
-		TOS:     s.spec.TOS,
-		SrcPort: s.spec.SrcPort,
-		DstPort: s.spec.DstPort,
-		Payload: EncodePayloadInto(s.loop.Buffers().Get(size), kind, s.spec.FlowID, s.seq, now),
-	}
+	// Draw the packet and its payload from the pools; the stack recycles
+	// both at the point of consumption (marshal onto a byte path, drop,
+	// or the receiver's Handle).
+	pkt := netsim.NewPacket()
+	pkt.Src = s.spec.SrcAddr
+	pkt.Dst = s.spec.DstAddr
+	pkt.Proto = netsim.ProtoUDP
+	pkt.TOS = s.spec.TOS
+	pkt.SrcPort = s.spec.SrcPort
+	pkt.DstPort = s.spec.DstPort
+	pkt.Payload = EncodePayloadInto(s.loop.Buffers().Get(size), kind, s.spec.FlowID, s.seq, now)
 	if err := s.send(pkt); err != nil {
 		s.SendErrors++
 		s.mErrors.Inc()
@@ -217,10 +249,7 @@ func (s *Sender) emit() {
 	s.mSent.Inc()
 	s.seq++
 
-	idt := s.spec.IDT.Sample(s.rng)
-	if idt <= 0 {
-		idt = 1e-6 // degenerate IDT: avoid a zero-delay storm
-	}
+	idt := idtSeconds(s.spec.IDT.Sample(s.rng))
 	s.timer = s.loop.After(time.Duration(idt*float64(time.Second)), s.emitFn)
 }
 
@@ -254,9 +283,9 @@ func (s *Sender) HandleEcho(pkt *netsim.Packet) {
 	}
 	s.mEchoed.Inc()
 	// The sender terminates the echo: recycle its payload (Put ignores
-	// buffers that did not come from the pool).
+	// buffers that did not come from the pool) and the packet.
 	s.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
+	netsim.ReleasePacket(pkt)
 }
 
 // Receiver logs one or more flows' arrivals and reflects echo-requested
@@ -324,20 +353,20 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 	r.mRecv.Inc()
 	size := len(pkt.Payload)
 	if kind&flagEchoRequest != 0 && r.reply != nil {
-		echo := &netsim.Packet{
-			Src:     pkt.Dst,
-			Dst:     pkt.Src,
-			Proto:   netsim.ProtoUDP,
-			SrcPort: pkt.DstPort,
-			DstPort: pkt.SrcPort,
-			Payload: EncodePayloadInto(r.loop.Buffers().Get(size), KindEcho, flowID, seq, txTime),
-		}
+		echo := netsim.NewPacket()
+		echo.Src = pkt.Dst
+		echo.Dst = pkt.Src
+		echo.Proto = netsim.ProtoUDP
+		echo.SrcPort = pkt.DstPort
+		echo.DstPort = pkt.SrcPort
+		echo.Payload = EncodePayloadInto(r.loop.Buffers().Get(size), KindEcho, flowID, seq, txTime)
 		r.reply(echo)
 		r.mEchoed.Inc()
 	}
-	// The receiver terminates the data packet: recycle its payload.
+	// The receiver terminates the data packet: recycle its payload and
+	// the packet.
 	r.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
+	netsim.ReleasePacket(pkt)
 }
 
 func (m Meter) String() string {

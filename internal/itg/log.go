@@ -79,6 +79,24 @@ type Log struct {
 // Add appends a record.
 func (l *Log) Add(r Record) { l.Records = append(l.Records, r) }
 
+// maxReserve caps one Reserve at 1M records (32 MB): a log expected to
+// be longer still grows by append beyond that.
+const maxReserve = 1 << 20
+
+// Reserve grows the log's capacity so that n more records (at most
+// maxReserve) append without reallocating. A log whose length is known
+// in advance (FlowSpec.ExpectedPackets) is then allocated once instead
+// of being copied at every append growth step.
+func (l *Log) Reserve(n int) {
+	n = min(n, maxReserve)
+	if n <= cap(l.Records)-len(l.Records) {
+		return
+	}
+	r := make([]Record, len(l.Records), len(l.Records)+n)
+	copy(r, l.Records)
+	l.Records = r
+}
+
 // Len returns the number of records.
 func (l *Log) Len() int { return len(l.Records) }
 

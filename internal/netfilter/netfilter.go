@@ -183,7 +183,33 @@ func (r Rule) String() string {
 	return s
 }
 
+// chainID indexes the seven standard chains. The node hooks traverse by
+// id, so the per-packet path hashes no strings; the string API resolves
+// (table, chain) names through chainIDs.
+type chainID int
+
+const (
+	mangleOutput chainID = iota
+	manglePreRouting
+	manglePostRouting
+	filterOutput
+	filterInput
+	filterForward
+	filterPostRouting
+	numChains
+)
+
 type chainKey struct{ table, chain string }
+
+var chainIDs = map[chainKey]chainID{
+	{TableMangle, ChainOutput}:      mangleOutput,
+	{TableMangle, ChainPreRouting}:  manglePreRouting,
+	{TableMangle, ChainPostRouting}: manglePostRouting,
+	{TableFilter, ChainOutput}:      filterOutput,
+	{TableFilter, ChainInput}:       filterInput,
+	{TableFilter, ChainForward}:     filterForward,
+	{TableFilter, ChainPostRouting}: filterPostRouting,
+}
 
 // Errors returned by Stack operations.
 var (
@@ -195,7 +221,7 @@ var (
 // node's hook slots.
 type Stack struct {
 	node   *netsim.Node
-	chains map[chainKey][]*Rule
+	chains [numChains][]*Rule
 	// DroppedTotal counts packets dropped by any DROP rule.
 	DroppedTotal uint64
 }
@@ -203,81 +229,73 @@ type Stack struct {
 // New creates the stack with the standard chains (empty, policy ACCEPT)
 // and installs the hook functions on the node.
 func New(node *netsim.Node) *Stack {
-	s := &Stack{node: node, chains: make(map[chainKey][]*Rule)}
-	for _, k := range []chainKey{
-		{TableMangle, ChainOutput}, {TableMangle, ChainPreRouting}, {TableMangle, ChainPostRouting},
-		{TableFilter, ChainOutput}, {TableFilter, ChainInput}, {TableFilter, ChainForward},
-		{TableFilter, ChainPostRouting},
-	} {
-		s.chains[k] = nil
-	}
+	s := &Stack{node: node}
 	node.Hooks.Output = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		if s.Traverse(TableMangle, ChainOutput, pkt, out) == netsim.VerdictDrop {
+		if s.traverse(mangleOutput, pkt, out) == netsim.VerdictDrop {
 			return netsim.VerdictDrop
 		}
-		return s.Traverse(TableFilter, ChainOutput, pkt, out)
+		return s.traverse(filterOutput, pkt, out)
 	}
 	node.Hooks.PostRouting = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		if s.Traverse(TableMangle, ChainPostRouting, pkt, out) == netsim.VerdictDrop {
+		if s.traverse(manglePostRouting, pkt, out) == netsim.VerdictDrop {
 			return netsim.VerdictDrop
 		}
-		return s.Traverse(TableFilter, ChainPostRouting, pkt, out)
+		return s.traverse(filterPostRouting, pkt, out)
 	}
 	node.Hooks.PreRouting = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		return s.Traverse(TableMangle, ChainPreRouting, pkt, out)
+		return s.traverse(manglePreRouting, pkt, out)
 	}
 	node.Hooks.Input = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		return s.Traverse(TableFilter, ChainInput, pkt, out)
+		return s.traverse(filterInput, pkt, out)
 	}
 	node.Hooks.Forward = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		return s.Traverse(TableFilter, ChainForward, pkt, out)
+		return s.traverse(filterForward, pkt, out)
 	}
 	return s
 }
 
-func (s *Stack) chain(table, chain string) ([]*Rule, error) {
-	k := chainKey{table, chain}
-	rules, ok := s.chains[k]
+func lookup(table, chain string) (chainID, error) {
+	id, ok := chainIDs[chainKey{table, chain}]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchChain, table, chain)
+		return 0, fmt.Errorf("%w: %s/%s", ErrNoSuchChain, table, chain)
 	}
-	return rules, nil
+	return id, nil
 }
 
 // Append adds a rule at the end of a chain (iptables -A) and returns the
 // rule pointer for counter inspection.
 func (s *Stack) Append(table, chain string, r Rule) (*Rule, error) {
-	if _, err := s.chain(table, chain); err != nil {
+	id, err := lookup(table, chain)
+	if err != nil {
 		return nil, err
 	}
 	rp := &r
-	k := chainKey{table, chain}
-	s.chains[k] = append(s.chains[k], rp)
+	s.chains[id] = append(s.chains[id], rp)
 	return rp, nil
 }
 
 // Insert adds a rule at the head of a chain (iptables -I).
 func (s *Stack) Insert(table, chain string, r Rule) (*Rule, error) {
-	if _, err := s.chain(table, chain); err != nil {
+	id, err := lookup(table, chain)
+	if err != nil {
 		return nil, err
 	}
 	rp := &r
-	k := chainKey{table, chain}
-	s.chains[k] = append([]*Rule{rp}, s.chains[k]...)
+	s.chains[id] = append([]*Rule{rp}, s.chains[id]...)
 	return rp, nil
 }
 
 // Delete removes a previously added rule by pointer (iptables -D with an
 // exact handle).
 func (s *Stack) Delete(table, chain string, rp *Rule) error {
-	rules, err := s.chain(table, chain)
+	id, err := lookup(table, chain)
 	if err != nil {
 		return err
 	}
-	k := chainKey{table, chain}
+	rules := s.chains[id]
 	for i, r := range rules {
 		if r == rp {
-			s.chains[k] = append(rules[:i], rules[i+1:]...)
+			s.chains[id] = append(rules[:i], rules[i+1:]...)
 			return nil
 		}
 	}
@@ -289,7 +307,7 @@ func (s *Stack) Delete(table, chain string, rp *Rule) error {
 // rules with the slice name so teardown is a single call.
 func (s *Stack) DeleteByComment(c string) int {
 	removed := 0
-	for k, rules := range s.chains {
+	for id, rules := range s.chains {
 		kept := rules[:0]
 		for _, r := range rules {
 			if r.Comment == c {
@@ -298,25 +316,33 @@ func (s *Stack) DeleteByComment(c string) int {
 			}
 			kept = append(kept, r)
 		}
-		s.chains[k] = kept
+		s.chains[id] = kept
 	}
 	return removed
 }
 
-// Rules returns the chain contents in evaluation order.
+// Rules returns the chain contents in evaluation order (nil for an
+// unknown chain).
 func (s *Stack) Rules(table, chain string) []*Rule {
-	rules, _ := s.chain(table, chain)
-	return append([]*Rule(nil), rules...)
+	id, err := lookup(table, chain)
+	if err != nil {
+		return nil
+	}
+	return append([]*Rule(nil), s.chains[id]...)
 }
 
 // Traverse evaluates a chain against a packet and returns the verdict
-// (chain policy is ACCEPT).
+// (chain policy is ACCEPT; an unknown chain accepts).
 func (s *Stack) Traverse(table, chain string, pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-	rules, err := s.chain(table, chain)
+	id, err := lookup(table, chain)
 	if err != nil {
 		return netsim.VerdictAccept
 	}
-	for _, r := range rules {
+	return s.traverse(id, pkt, out)
+}
+
+func (s *Stack) traverse(id chainID, pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
+	for _, r := range s.chains[id] {
 		if !r.Match.matches(pkt, out) {
 			continue
 		}
@@ -343,12 +369,12 @@ func (s *Stack) Dump() string {
 	var b strings.Builder
 	for _, table := range []string{TableMangle, TableFilter} {
 		for _, chain := range []string{ChainPreRouting, ChainInput, ChainForward, ChainOutput, ChainPostRouting} {
-			rules, err := s.chain(table, chain)
-			if err != nil || len(rules) == 0 {
+			id, err := lookup(table, chain)
+			if err != nil || len(s.chains[id]) == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "*%s :%s\n", table, chain)
-			for _, r := range rules {
+			for _, r := range s.chains[id] {
 				fmt.Fprintf(&b, "  [%d:%d] %s\n", r.Packets, r.Bytes, r)
 			}
 		}

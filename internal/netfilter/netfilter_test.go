@@ -260,3 +260,57 @@ func TestTargetString(t *testing.T) {
 		t.Fatal("unknown target string wrong")
 	}
 }
+
+// TestEachHookTraversesItsChains pins the hook-to-chain wiring: every
+// node hook evaluates exactly the standard chains named for it, in
+// mangle-then-filter order, and nothing else.
+func TestEachHookTraversesItsChains(t *testing.T) {
+	_, n, s := newStack(t)
+	type tc struct{ table, chain string }
+	all := []tc{
+		{TableMangle, ChainOutput}, {TableMangle, ChainPreRouting}, {TableMangle, ChainPostRouting},
+		{TableFilter, ChainOutput}, {TableFilter, ChainInput}, {TableFilter, ChainForward},
+		{TableFilter, ChainPostRouting},
+	}
+	rules := map[tc]*Rule{}
+	for i, c := range all {
+		r, err := s.Append(c.table, c.chain, Rule{Target: TargetMark, MarkValue: uint32(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules[c] = r
+	}
+	hooks := []struct {
+		name string
+		fn   netsim.HookFunc
+		want []tc // in traversal order; the last one's mark sticks
+	}{
+		{"output", n.Hooks.Output, []tc{{TableMangle, ChainOutput}, {TableFilter, ChainOutput}}},
+		{"postrouting", n.Hooks.PostRouting, []tc{{TableMangle, ChainPostRouting}, {TableFilter, ChainPostRouting}}},
+		{"prerouting", n.Hooks.PreRouting, []tc{{TableMangle, ChainPreRouting}}},
+		{"input", n.Hooks.Input, []tc{{TableFilter, ChainInput}}},
+		{"forward", n.Hooks.Forward, []tc{{TableFilter, ChainForward}}},
+	}
+	for _, h := range hooks {
+		before := map[tc]uint64{}
+		for c, r := range rules {
+			before[c] = r.Packets
+		}
+		p := testPkt()
+		if h.fn(p, nil) != netsim.VerdictAccept {
+			t.Fatalf("%s: MARK rules must not drop", h.name)
+		}
+		for c, r := range rules {
+			hit := false
+			for _, w := range h.want {
+				hit = hit || w == c
+			}
+			if got := r.Packets - before[c]; (got == 1) != hit || got > 1 {
+				t.Errorf("%s hook: %s/%s counted %d packets, want hit=%v", h.name, c.table, c.chain, got, hit)
+			}
+		}
+		if last := rules[h.want[len(h.want)-1]]; p.Mark != last.MarkValue {
+			t.Errorf("%s hook: mark %d, want %d from the last chain", h.name, p.Mark, last.MarkValue)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/onelab/umtslab/internal/fifo"
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/sim"
 )
@@ -119,8 +120,7 @@ type linkDir struct {
 	link        *P2PLink
 	cfg         LinkConfig
 	busy        bool
-	queue       []queued // ring: waiting packets are queue[head:]
-	head        int
+	queue       fifo.Queue[queued] // waiting packets
 	queuedBytes int
 	lastArrival time.Duration // monotone arrival guard against reordering
 	stats       DirStats
@@ -132,8 +132,7 @@ type linkDir struct {
 	// same-timestamp events fire in scheduling order, so deliveries pop
 	// in exactly the order their events fire.
 	inflight  queued
-	pending   []queued // ring: scheduled deliveries are pending[pendHead:]
-	pendHead  int
+	pending   fifo.Queue[queued] // scheduled deliveries
 	txDoneFn  func()
 	deliverFn func()
 
@@ -165,7 +164,7 @@ func (d *linkDir) send(to *Iface, pkt *Packet) {
 			d.recycle(pkt)
 			return
 		}
-		d.queue = append(d.queue, queued{pkt, to})
+		d.queue.Push(queued{pkt, to})
 		d.queuedBytes += pkt.Length()
 		d.mQueueOcc.Observe(int64(d.qlen()))
 		return
@@ -173,15 +172,16 @@ func (d *linkDir) send(to *Iface, pkt *Packet) {
 	d.transmit(to, pkt)
 }
 
-func (d *linkDir) qlen() int { return len(d.queue) - d.head }
+func (d *linkDir) qlen() int { return d.queue.Len() }
 
-// recycle returns a dropped packet's payload to the loop's buffer pool.
-// The link owns pkt at this point, and payload ownership is exclusive
-// throughout the repo (producers copy), so the buffer cannot be live
-// elsewhere; Put ignores buffers that did not come from the pool.
+// recycle returns a dropped packet's payload to the loop's buffer pool
+// and the packet to the packet pool. The link owns pkt at this point,
+// and payload ownership is exclusive throughout the repo (producers
+// copy), so the buffer cannot be live elsewhere; Put ignores buffers
+// that did not come from the pool.
 func (d *linkDir) recycle(pkt *Packet) {
 	d.link.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
+	ReleasePacket(pkt)
 }
 
 func (d *linkDir) transmit(to *Iface, pkt *Packet) {
@@ -213,18 +213,11 @@ func (d *linkDir) txDone() {
 		arrival = d.lastArrival
 	}
 	d.lastArrival = arrival
-	d.pending = append(d.pending, queued{pkt, to})
+	d.pending.Push(queued{pkt, to})
 	loop.At(arrival, d.deliverFn)
 	// Start the next queued packet, if any.
-	if d.head < len(d.queue) {
-		next := d.queue[d.head]
-		d.queue[d.head] = queued{}
-		d.head++
-		if d.head == len(d.queue) {
-			// Drained: reuse the slice backing from the start.
-			d.queue = d.queue[:0]
-			d.head = 0
-		}
+	if d.queue.Len() > 0 {
+		next := d.queue.Pop()
 		d.queuedBytes -= next.pkt.Length()
 		d.transmit(next.to, next.pkt)
 	} else {
@@ -235,13 +228,7 @@ func (d *linkDir) txDone() {
 // deliverHead fires at a scheduled arrival time and hands the oldest
 // pending packet to its destination interface.
 func (d *linkDir) deliverHead() {
-	q := d.pending[d.pendHead]
-	d.pending[d.pendHead] = queued{}
-	d.pendHead++
-	if d.pendHead == len(d.pending) {
-		d.pending = d.pending[:0]
-		d.pendHead = 0
-	}
+	q := d.pending.Pop()
 	if q.to != nil {
 		q.to.Deliver(q.pkt)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/onelab/umtslab/internal/fifo"
 	"github.com/onelab/umtslab/internal/sim"
 )
 
@@ -231,5 +232,52 @@ func TestPropertyLinkConservation(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(12))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkRingsStayBounded runs a VoIP-paced stream (100 pps of 90-byte
+// payloads, plus a 5-packet burst every second) for 120 s through a
+// P2PLink and a CrossLink. The propagation delay keeps several
+// deliveries in flight at every push, the case in which a ring that only
+// rewinds once fully drained grows by one slot per packet for the whole
+// run. Every ring must stay within max(32, 2 × its peak live entries).
+func TestLinkRingsStayBounded(t *testing.T) {
+	const span = 120 * time.Second
+	cfg := LinkConfig{RateBps: 256e3, Delay: 40 * time.Millisecond, Jitter: 10 * time.Millisecond}
+	stream := func(loop *sim.Loop, a *Node) {
+		send := func() { a.Send(udpPacket(1, 9000, make([]byte, 90))) }
+		loop.NewTicker(10*time.Millisecond, send)
+		loop.NewTicker(time.Second, func() {
+			for i := 0; i < 5; i++ {
+				send()
+			}
+		})
+	}
+
+	loop, _, a, b, l := twoHosts(t, cfg, cfg)
+	got := 0
+	b.Bind(ProtoUDP, 9000, func(*Packet) { got++ })
+	stream(loop, a)
+	loop.RunUntil(span)
+	if got < 12500 {
+		t.Fatalf("P2PLink delivered %d packets, want the whole stream", got)
+	}
+	d := l.dirs[0]
+	for _, r := range []*fifo.Queue[queued]{&d.queue, &d.pending} {
+		if r.Cap() > max(32, 2*r.Peak()) {
+			t.Fatalf("P2PLink ring grew to %d slots for a peak of %d", r.Cap(), r.Peak())
+		}
+	}
+
+	eng, xa, xb := crossHosts(t, 1, 2, cfg, cfg)
+	got = 0
+	xb.Bind(ProtoUDP, 9000, func(*Packet) { got++ })
+	stream(xa.Loop, xa)
+	eng.Run(span)
+	if got < 12500 {
+		t.Fatalf("CrossLink delivered %d packets, want the whole stream", got)
+	}
+	if r := &xa.Iface("eth0").link.(*CrossLink).dirs[0].queue; r.Cap() > max(32, 2*r.Peak()) {
+		t.Fatalf("CrossLink queue grew to %d slots for a peak of %d", r.Cap(), r.Peak())
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sync"
 
 	"github.com/onelab/umtslab/internal/bufpool"
 )
@@ -58,12 +59,58 @@ type Packet struct {
 	ID       uint16
 	SrcPort  uint16 // UDP/TCP only
 	DstPort  uint16 // UDP/TCP only
-	Payload  []byte
+	// pooled marks a packet parked by ReleasePacket. It sits here, in
+	// the wire fields' alignment padding, to keep Packet in the 112-byte
+	// allocation class.
+	pooled  bool
+	Payload []byte
 
 	// Node-local metadata (skb analog): never serialized.
 	Mark     uint32 // netfilter fwmark
 	SliceCtx uint32 // VNET+ slice attribution (security context id)
 	InIface  string // ingress interface name, set on receive
+}
+
+// packetPool recycles Packet structs along the data path. The layer that
+// terminates a packet — the byte-path link that marshals it, the link
+// that drops it, the ITG endpoint that logs it — hands it back with
+// ReleasePacket, and the creation sites draw with NewPacket. It is a
+// sync.Pool rather than a per-loop list because a packet may cross
+// shards (CrossLink hands it over by pointer) and be released on a
+// different loop's goroutine than the one that drew it.
+var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+
+// NewPacket returns a zeroed packet, recycled when one is available.
+// Packets built with a composite literal are equally valid everywhere.
+func NewPacket() *Packet {
+	if bufpool.Disabled() {
+		return new(Packet)
+	}
+	p := packetPool.Get().(*Packet)
+	p.pooled = false
+	return p
+}
+
+// ReleasePacket zeroes p and parks it for reuse by NewPacket. The caller
+// must own p and not touch it afterwards; its payload is not recycled
+// (Put it to the loop's buffer pool first when it came from there).
+// Release is optional: a packet that is dropped without it is simply
+// collected. Zeroing means no node-local metadata (Mark, SliceCtx,
+// InIface) of a finished packet can reach routing or netfilter through
+// a reissued one. A second release of a packet still parked is ignored,
+// or panics while bufpool's double-Put detector is on.
+func ReleasePacket(p *Packet) {
+	if p == nil || bufpool.Disabled() {
+		return
+	}
+	if p.pooled {
+		if bufpool.DebugDoublePut() {
+			panic("netsim: double ReleasePacket")
+		}
+		return
+	}
+	*p = Packet{pooled: true}
+	packetPool.Put(p)
 }
 
 // Length returns the total on-wire IPv4 length of the packet in bytes.
@@ -79,6 +126,7 @@ func (p *Packet) Length() int {
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)
+	q.pooled = false
 	return &q
 }
 
@@ -168,51 +216,68 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 // zero: attribution does not cross a wire.
 func Unmarshal(b []byte) (*Packet, error) { return UnmarshalPooled(b, nil) }
 
-// UnmarshalPooled is Unmarshal drawing the payload copy from pool (when
-// non-nil) instead of the allocator. The consumer that terminates the
-// packet may hand the payload back with pool.Put — itg receivers do.
+// UnmarshalPooled is Unmarshal drawing the packet from NewPacket and the
+// payload copy from pool (when non-nil) instead of the allocator. The
+// consumer that terminates the packet may hand the payload back with
+// pool.Put and the packet with ReleasePacket — itg receivers do.
 func UnmarshalPooled(b []byte, pool *bufpool.Pool) (*Packet, error) {
+	p := NewPacket()
+	if err := UnmarshalInto(p, b, pool); err != nil {
+		ReleasePacket(p)
+		return nil, err
+	}
+	return p, nil
+}
+
+// UnmarshalInto parses wire bytes into p, overwriting every field:
+// local metadata is zeroed and any previous payload is dropped, not
+// recycled. The payload copy is drawn from pool when non-nil. On error p
+// is left unchanged.
+func UnmarshalInto(p *Packet, b []byte, pool *bufpool.Pool) error {
 	if len(b) < IPv4HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < IPv4HeaderLen || len(b) < ihl {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if ipChecksum(b[:ihl]) != 0 {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	total := int(binary.BigEndian.Uint16(b[2:]))
 	if total < ihl || total > len(b) {
-		return nil, ErrBadLength
+		return ErrBadLength
 	}
-	p := &Packet{
-		TOS:   b[1],
-		ID:    binary.BigEndian.Uint16(b[4:]),
-		TTL:   b[8],
-		Proto: Proto(b[9]),
-		Src:   netip.AddrFrom4([4]byte(b[12:16])),
-		Dst:   netip.AddrFrom4([4]byte(b[16:20])),
-	}
+	proto := Proto(b[9])
 	rest := b[ihl:total]
-	if p.Proto == ProtoUDP || p.Proto == ProtoTCP {
+	var srcPort, dstPort uint16
+	if proto == ProtoUDP || proto == ProtoTCP {
 		if len(rest) < UDPHeaderLen {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
-		p.SrcPort = binary.BigEndian.Uint16(rest[0:])
-		p.DstPort = binary.BigEndian.Uint16(rest[2:])
+		srcPort = binary.BigEndian.Uint16(rest[0:])
+		dstPort = binary.BigEndian.Uint16(rest[2:])
 		ulen := int(binary.BigEndian.Uint16(rest[4:]))
 		if ulen < UDPHeaderLen || ulen > len(rest) {
-			return nil, ErrBadLength
+			return ErrBadLength
 		}
-		p.Payload = copyPayload(rest[UDPHeaderLen:ulen], pool)
-	} else {
-		p.Payload = copyPayload(rest, pool)
+		rest = rest[UDPHeaderLen:ulen]
 	}
-	return p, nil
+	*p = Packet{
+		TOS:     b[1],
+		ID:      binary.BigEndian.Uint16(b[4:]),
+		TTL:     b[8],
+		Proto:   proto,
+		Src:     netip.AddrFrom4([4]byte(b[12:16])),
+		Dst:     netip.AddrFrom4([4]byte(b[16:20])),
+		SrcPort: srcPort,
+		DstPort: dstPort,
+		Payload: copyPayload(rest, pool),
+	}
+	return nil
 }
 
 func copyPayload(src []byte, pool *bufpool.Pool) []byte {

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"time"
 
+	"github.com/onelab/umtslab/internal/fifo"
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
@@ -110,8 +111,7 @@ type xlinkDir struct {
 	to   *Iface // destination end, on the edge's target shard
 
 	busy        bool
-	queue       []*Packet // ring: waiting packets are queue[head:]
-	head        int
+	queue       fifo.Queue[*Packet] // waiting packets
 	queuedBytes int
 	lastArrival time.Duration
 	stats       DirStats
@@ -145,11 +145,11 @@ func newXlinkDir(loop *sim.Loop, name string, cfg LinkConfig, to *Iface) *xlinkD
 	return d
 }
 
-func (d *xlinkDir) qlen() int { return len(d.queue) - d.head }
+func (d *xlinkDir) qlen() int { return d.queue.Len() }
 
 func (d *xlinkDir) recycle(pkt *Packet) {
 	d.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
+	ReleasePacket(pkt)
 }
 
 func (d *xlinkDir) send(pkt *Packet) {
@@ -167,7 +167,7 @@ func (d *xlinkDir) send(pkt *Packet) {
 			d.recycle(pkt)
 			return
 		}
-		d.queue = append(d.queue, pkt)
+		d.queue.Push(pkt)
 		d.queuedBytes += pkt.Length()
 		d.mQueueOcc.Observe(int64(d.qlen()))
 		return
@@ -204,14 +204,8 @@ func (d *xlinkDir) txDone() {
 	}
 	d.lastArrival = arrival
 	d.edge.Send(arrival, pkt)
-	if d.head < len(d.queue) {
-		next := d.queue[d.head]
-		d.queue[d.head] = nil
-		d.head++
-		if d.head == len(d.queue) {
-			d.queue = d.queue[:0]
-			d.head = 0
-		}
+	if d.queue.Len() > 0 {
+		next := d.queue.Pop()
 		d.queuedBytes -= next.Length()
 		d.transmit(next)
 	} else {

@@ -242,6 +242,11 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 		stream = spec.Analysis.newDecoder(spec.Window, start, LiveWindow{FlowID: 1})
 		spec.Analysis.attach(stream, snd, receiver)
 	}
+	if !receiver.DropLogs {
+		// Every data packet arrives at most once: presize like the
+		// sender's logs (Sender.Start).
+		receiver.RecvLog.Reserve(flow.ExpectedPackets())
+	}
 	snd.Start()
 	// Run the flow plus drain time for queued packets and echoes.
 	tb.Loop.RunUntil(start + spec.Duration + drainTime)

@@ -296,6 +296,7 @@ type mcTerminal struct {
 	cell, idx int
 	flowID    uint32
 	rPort     uint16
+	flow      itg.FlowSpec
 	loop      *sim.Loop
 	env       *cellEnv
 	term      *umts.Terminal
@@ -579,6 +580,9 @@ func buildTerminal(env *cellEnv, c, m int) (*mcTerminal, error) {
 	if err := env.server.Bind(netsim.ProtoUDP, rPort, ts.recv.Handle); err != nil {
 		return nil, err
 	}
+	if ts.flow, err = mcFlow(opts, flowID, rPort); err != nil {
+		return nil, err
+	}
 	if opts.Analysis.streaming() {
 		// One decoder per flow, window-aligned to FlowStart exactly like
 		// the batch path's Rebase. The sender/echo side runs on this
@@ -587,6 +591,9 @@ func buildTerminal(env *cellEnv, c, m int) (*mcTerminal, error) {
 		ts.stream = opts.Analysis.newDecoder(opts.Window, opts.FlowStart,
 			LiveWindow{Cell: c, Terminal: m, FlowID: flowID})
 		opts.Analysis.attachRecv(ts.stream, ts.recv)
+	}
+	if !ts.recv.DropLogs {
+		ts.recv.RecvLog.Reserve(ts.flow.ExpectedPackets())
 	}
 
 	// Asynchronous bring-up: materialize the stack, then run the
@@ -617,6 +624,21 @@ func buildTerminal(env *cellEnv, c, m int) (*mcTerminal, error) {
 		}
 	})
 	return ts, nil
+}
+
+// mcFlow is the flow spec of one multi-cell terminal.
+func mcFlow(opts *MultiCellOptions, flowID uint32, rPort uint16) (itg.FlowSpec, error) {
+	switch opts.Workload {
+	case WorkloadVoIP:
+		return itg.VoIPG711(flowID, mcServerAddr, senderPort, rPort, opts.Duration), nil
+	case WorkloadCBR1M:
+		return itg.CBR1Mbps(flowID, mcServerAddr, senderPort, rPort, opts.Duration), nil
+	case WorkloadVoIPG729:
+		return itg.VoIPG729(flowID, mcServerAddr, senderPort, rPort, opts.Duration), nil
+	case WorkloadTelnet:
+		return itg.Telnet(flowID, mcServerAddr, senderPort, rPort, opts.Duration), nil
+	}
+	return itg.FlowSpec{}, fmt.Errorf("unknown workload %v", opts.Workload)
 }
 
 // materialize assembles the terminal's full PlanetLab-style stack on
@@ -670,20 +692,7 @@ func (ts *mcTerminal) materialize() error {
 	}
 	ts.fe = fe
 
-	var flow itg.FlowSpec
-	switch opts.Workload {
-	case WorkloadVoIP:
-		flow = itg.VoIPG711(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	case WorkloadCBR1M:
-		flow = itg.CBR1Mbps(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	case WorkloadVoIPG729:
-		flow = itg.VoIPG729(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	case WorkloadTelnet:
-		flow = itg.Telnet(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	default:
-		return fmt.Errorf("unknown workload %v", opts.Workload)
-	}
-	ts.snd = itg.NewSender(loop, fmt.Sprintf("mc/c%dt%d", c, m), flow,
+	ts.snd = itg.NewSender(loop, fmt.Sprintf("mc/c%dt%d", c, m), ts.flow,
 		func(pkt *netsim.Packet) error { return slice.Send(pkt) })
 	if err := slice.Bind(netsim.ProtoUDP, senderPort, ts.snd.HandleEcho); err != nil {
 		return err

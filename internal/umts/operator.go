@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/onelab/umtslab/internal/fifo"
 	"github.com/onelab/umtslab/internal/modem"
 	"github.com/onelab/umtslab/internal/netsim"
 	"github.com/onelab/umtslab/internal/ppp"
@@ -403,6 +404,15 @@ type session struct {
 	idle    time.Duration
 	events  []string
 	closed  bool
+
+	// Core transit (SGSN/GGSN, CoreDelay each way) without a closure per
+	// packet: each direction pushes onto its FIFO and schedules the
+	// callback bound below. CoreDelay is fixed per operator, so the
+	// events fire in push order and each pops its own item.
+	toNAS    fifo.Queue[[]byte]         // wire datagrams bound for the PPP server
+	toGGSN   fifo.Queue[*netsim.Packet] // uplink packets bound for the GGSN
+	toNASFn  func()
+	toGGSNFn func()
 }
 
 func (op *Operator) newSession(term *Terminal) (*session, error) {
@@ -411,6 +421,8 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 		return nil, err
 	}
 	sess := &session{op: op, term: term, addr: addr}
+	sess.toNASFn = sess.transitToNAS
+	sess.toGGSNFn = sess.transitToGGSN
 	loop := op.loop
 
 	rng := loop.RNG("umts/radio/" + term.IMSI())
@@ -434,18 +446,14 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 	sess.iface = op.ggsn.AddIface(name, netip.Addr{}, netip.Prefix{})
 	sess.iface.SetLink(netsim.FuncLink(func(_ *netsim.Iface, pkt *netsim.Packet) {
 		// The link owns pkt: marshal into a recycled wire buffer and
-		// return the payload to the pool right away. The wire buffer is
-		// recycled once the PPP server has framed it (SendIPv4's channel
-		// write copies into the radio queue).
+		// return the payload and the packet to their pools right away.
+		// The wire buffer is recycled once the PPP server has framed it
+		// (transitToNAS).
 		wire := pkt.AppendMarshal(loop.Buffers().Get(pkt.Length())[:0])
 		loop.Buffers().Put(pkt.Payload)
-		pkt.Payload = nil
-		loop.After(op.cfg.CoreDelay, func() {
-			if !sess.closed {
-				sess.srv.SendIPv4(wire)
-			}
-			loop.Buffers().Put(wire)
-		})
+		netsim.ReleasePacket(pkt)
+		sess.toNAS.Push(wire)
+		loop.After(op.cfg.CoreDelay, sess.toNASFn)
 	}))
 
 	sess.srv = ppp.NewServer(ppp.ServerConfig{
@@ -458,11 +466,8 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 			if err != nil {
 				return
 			}
-			loop.After(op.cfg.CoreDelay, func() {
-				if !sess.closed {
-					sess.iface.Deliver(pkt)
-				}
-			})
+			sess.toGGSN.Push(pkt)
+			loop.After(op.cfg.CoreDelay, sess.toGGSNFn)
 		},
 		OnDown: func(reason string) {
 			op.closeSession(sess, "ppp: "+reason, true)
@@ -481,6 +486,27 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 	op.loop.Metrics().Counter("umts/pdp_activations").Inc()
 	sess.logf("PDP context activated, addr %s", addr)
 	return sess, nil
+}
+
+// transitToNAS ends the core transit of the oldest downlink datagram:
+// the PPP server frames it (SendIPv4's channel write copies it into the
+// radio queue), then the wire buffer is recycled.
+func (sess *session) transitToNAS() {
+	wire := sess.toNAS.Pop()
+	if !sess.closed {
+		sess.srv.SendIPv4(wire)
+	}
+	sess.op.loop.Buffers().Put(wire)
+}
+
+// transitToGGSN ends the core transit of the oldest uplink packet. A
+// packet still in transit when the session closes is left to the
+// collector.
+func (sess *session) transitToGGSN() {
+	pkt := sess.toGGSN.Pop()
+	if !sess.closed {
+		sess.iface.Deliver(pkt)
+	}
 }
 
 func (sess *session) logf(format string, args ...any) {

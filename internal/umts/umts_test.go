@@ -587,3 +587,57 @@ func TestAdaptationReleasesOnIdle(t *testing.T) {
 		t.Fatalf("no release after idle: %v", term.SessionEvents())
 	}
 }
+
+// TestRingsStayBoundedOverVoIPCell runs the paper's VoIP flow shape
+// (100 pps of 90-byte payloads with an echo back) for 120 s over a
+// dialed session and checks every FIFO on the session's path: both
+// radio directions' transmit queues and delivery FIFOs, and the two
+// core-transit rings. Each must stay within max(32, 2 × its peak live
+// entries). A ring that only rewinds when fully drained grew to
+// thousands of slots here.
+func TestRingsStayBoundedOverVoIPCell(t *testing.T) {
+	loop, nw, op := testOperator(t, Commercial())
+	server := nw.AddNode("server")
+	nw.WireP2P("gi", op.GGSN(), "gi0", netsim.MustAddr("192.0.2.1"),
+		server, "eth0", netsim.MustAddr("192.0.2.2"),
+		netsim.LinkConfig{Delay: 5 * time.Millisecond}, netsim.LinkConfig{Delay: 5 * time.Millisecond})
+	op.SetGi("gi0")
+	term := op.NewTerminal("i1")
+	loop.RunUntil(5 * time.Second)
+	echoes := 0
+	client := dialUp(t, loop, op, term, ppp.Credentials{User: "web", Password: "web"},
+		func([]byte) { echoes++ })
+	server.Bind(netsim.ProtoUDP, 9000, func(pkt *netsim.Packet) {
+		server.Send(&netsim.Packet{
+			Src: pkt.Dst, Dst: pkt.Src, Proto: netsim.ProtoUDP,
+			SrcPort: pkt.DstPort, DstPort: pkt.SrcPort, Payload: pkt.Payload,
+		})
+	})
+	p := &netsim.Packet{
+		Src: client.LocalAddr(), Dst: netsim.MustAddr("192.0.2.2"),
+		Proto: netsim.ProtoUDP, SrcPort: 5000, DstPort: 9000, TTL: 64,
+		Payload: make([]byte, 90),
+	}
+	wire := p.Marshal()
+	tick := loop.NewTicker(10*time.Millisecond, func() { client.SendIPv4(wire) })
+	loop.RunUntil(loop.Now() + 120*time.Second)
+	tick.Stop()
+	loop.RunUntil(loop.Now() + 5*time.Second)
+	if echoes < 11500 {
+		t.Fatalf("%d echoes of ~12000 packets: the cell did not carry the flow", echoes)
+	}
+	sess := activeSession(t, op, term)
+	type ring interface {
+		Cap() int
+		Peak() int
+	}
+	for name, r := range map[string]ring{
+		"ul queue": &sess.ul.queue, "ul pending": &sess.ul.pending,
+		"dl queue": &sess.dl.queue, "dl pending": &sess.dl.pending,
+		"core to NAS": &sess.toNAS, "core to GGSN": &sess.toGGSN,
+	} {
+		if r.Cap() > max(32, 2*r.Peak()) {
+			t.Errorf("%s ring grew to %d slots for a peak of %d", name, r.Cap(), r.Peak())
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"net/netip"
 	"testing"
 
 	"github.com/onelab/umtslab/internal/netsim"
@@ -98,5 +99,30 @@ func TestStatsUnknownContext(t *testing.T) {
 	_, v, _ := newPair(t)
 	if st := v.Stats(42); st != (SliceStats{}) {
 		t.Fatalf("unknown ctx stats = %+v", st)
+	}
+}
+
+// TestSendCountsBytesBeforeTheLinkConsumesThePacket: a byte-path link
+// such as ppp0 marshals the packet and releases it for reuse inside
+// node.Send, so the slice's byte count must not read the packet after.
+func TestSendCountsBytesBeforeTheLinkConsumesThePacket(t *testing.T) {
+	loop := sim.NewLoop(1)
+	n := netsim.NewNode(loop, "host")
+	ifc := n.AddIface("ppp0", netsim.MustAddr("10.133.7.2"), netip.Prefix{})
+	ifc.Peer = netsim.MustAddr("10.133.0.1")
+	ifc.SetLink(netsim.FuncLink(func(_ *netsim.Iface, pkt *netsim.Packet) {
+		_ = pkt.Marshal()
+		netsim.ReleasePacket(pkt)
+	}))
+	v := New(n)
+	p := netsim.NewPacket()
+	p.Dst, p.Proto, p.SrcPort, p.DstPort = netsim.MustAddr("192.0.2.1"), netsim.ProtoUDP, 5000, 9000
+	p.Payload = make([]byte, 90)
+	want := uint64(p.Length())
+	if err := v.Send(7, p); err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(7); st.TxPackets != 1 || st.TxBytes != want {
+		t.Fatalf("stats = %+v, want 1 packet of %d bytes", st, want)
 	}
 }
